@@ -157,27 +157,29 @@ func TestCheckSpanningTreeAndPrim(t *testing.T) {
 	}
 }
 
-// TestPresenceCheckRejectsMissingInsert runs the durability check's rule
-// on a model holding an acked insert that the answers lack.
-func TestPresenceCheckRejectsMissingInsert(t *testing.T) {
-	m := &model{pts: []livePoint{{id: 7, c: [2]float64{0.1, 0.1}}, {id: 9, c: [2]float64{0.9, 0.9}}}}
-	server := map[[2]float64]int32{{0.1, 0.1}: 7} // the insert of id 9 was lost
-	nearest := func(c [2]float64) int32 {
-		best, bid := math.Inf(1), int32(-1)
-		for p, id := range server {
-			if d := sqDist(p[:], c[:]); d < best {
-				best, bid = d, id
+// TestMissingAckedRejectsLostInsert feeds the durability check the
+// answers of a server that lost an acked insert.
+func TestMissingAckedRejectsLostInsert(t *testing.T) {
+	m := &model{pts: []livePoint{{id: 7, c: [2]float64{0.1, 0.1}}, {id: 9, c: [2]float64{0.9, 0.9}}, {id: 4, c: [2]float64{0.5, 0.2}}}}
+	nearest := func(server []livePoint) [][]int32 {
+		var out [][]int32
+		for _, p := range m.pts {
+			best, bid := math.Inf(1), int32(-1)
+			for _, s := range server {
+				if d := sqDist(s.c[:], p.c[:]); d < best {
+					best, bid = d, s.id
+				}
 			}
+			out = append(out, []int32{bid})
 		}
-		return bid
+		return out
 	}
-	missing := 0
-	for _, p := range m.pts {
-		if nearest(p.c) != p.id {
-			missing++
-		}
+	idx := []int{0, 1, 2}
+	if err := missingAcked(m, idx, nearest(m.pts)); err != nil {
+		t.Fatalf("complete server rejected: %v", err)
 	}
-	if missing != 1 {
-		t.Fatalf("%d missing acked points found, want 1", missing)
+	lost := []livePoint{m.pts[0], m.pts[2]} // the insert of id 9 was lost
+	if missingAcked(m, idx, nearest(lost)) == nil {
+		t.Fatal("server missing an acked insert accepted")
 	}
 }

@@ -520,13 +520,22 @@ func (b *bench) checkPresent(cl *client.Client, m *model, movedOnly bool, when s
 			b.res.Failed++
 			continue
 		}
-		for j, i := range part {
-			if len(res[j]) != 1 || res[j][0] != m.pts[i].id {
-				b.wrong("%s: acked point id %d at %v is missing (nearest %v)", when, m.pts[i].id, m.pts[i].c, res[j])
-				return
-			}
+		if err := missingAcked(m, part, res); err != nil {
+			b.wrong("%s: %v", when, err)
+			return
 		}
 	}
+}
+
+// missingAcked reports the first model point of idx whose nearest live
+// point on the server, nearest[j], is not itself under its acked id.
+func missingAcked(m *model, idx []int, nearest [][]int32) error {
+	for j, i := range idx {
+		if len(nearest[j]) != 1 || nearest[j][0] != m.pts[i].id {
+			return fmt.Errorf("acked point id %d at %v is missing (nearest %v)", m.pts[i].id, m.pts[i].c, nearest[j])
+		}
+	}
+	return nil
 }
 
 // serve is a measured run of a serving workload.
