@@ -570,14 +570,18 @@ func (b *bench) serve(cfg serveConfig) error {
 	}
 	fmt.Fprintf(os.Stderr, "perfbench: steal per window %.3f, kept %v\n  ops/s %.0f\n  k-NN p99 ms %.2f\n  update p99 ms %.2f\n",
 		ls.winSteal, keep, ops, kp99, up99)
-	b.set("ops_s", "1/s", median(ops))
-	b.set("knn_p50_ms", "ms", 1e3*median(knn))
-	b.set("update_p50_ms", "ms", 1e3*median(upd))
+	fmt.Fprintf(os.Stderr, "perfbench: calm windows: %.1f ops/s, k-NN p50 %.3f ms p99 %.3f ms, update p50 %.3f ms p99 %.3f ms\n",
+		median(ops), 1e3*median(knn), median(kp99), 1e3*median(upd), median(up99))
 	if !cfg.durable {
-		// serve-write's tails follow the host's fsync and steal: its p99s
-		// moved 0.4–0.5 of their median between runs, too far to gate.
+		// serve-write's throughput and latencies follow the host's fsync
+		// latency and steal: between sets of ten runs their medians moved
+		// up to 29%, past any allowed bound, so they are printed above but
+		// not reported. The update p99 of serve-read rests on about ten
+		// samples past it per window and moved 24%; it is printed only.
+		b.set("ops_s", "1/s", median(ops))
+		b.set("knn_p50_ms", "ms", 1e3*median(knn))
 		b.set("knn_p99_ms", "ms", median(kp99))
-		b.set("update_p99_ms", "ms", median(up99))
+		b.set("update_p50_ms", "ms", 1e3*median(upd))
 	}
 	if err := b.checkQuiescent(ss.cl, ss.m, "after the run"); err != nil {
 		return err
