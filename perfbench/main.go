@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -51,6 +52,7 @@ type bench struct {
 	serverBin string
 	work      string // scratch directory, removed at exit
 	spanDir   string // where a traced run writes its spans
+	manifest  string // BENCHMARK.json, naming the metrics a run must report
 
 	res    result
 	mu     sync.Mutex // guards wrongs
@@ -87,6 +89,7 @@ func main() {
 	flag.StringVar(&b.serverBin, "server", "", "pargeo-serve binary built from the tree under test")
 	flag.StringVar(&b.work, "work", "", "scratch directory (WAL directories); removed at exit")
 	flag.StringVar(&b.spanDir, "spans", "", "directory a traced run writes its spans to")
+	flag.StringVar(&b.manifest, "manifest", "", "BENCHMARK.json; the run fails unless it reports exactly the metrics listed there")
 	flag.Parse()
 	b.seconds, b.trace = float64(seconds), trace == 1
 	if err := b.run(); err != nil {
@@ -140,7 +143,51 @@ func (b *bench) run() error {
 		return err
 	}
 	if b.trace {
-		return b.spans.write(b.spanDir, b.workload, b.seed)
+		if err := b.spans.write(b.spanDir, b.workload, b.seed); err != nil {
+			return err
+		}
+	}
+	return b.matchManifest()
+}
+
+// matchManifest checks that the run set exactly the metrics the manifest
+// lists for its mode, each in its unit: end_to_end for a measured run,
+// per_layer for a traced one.
+func (b *bench) matchManifest() error {
+	if b.manifest == "" {
+		return nil
+	}
+	raw, err := os.ReadFile(b.manifest)
+	if err != nil {
+		return err
+	}
+	type entry struct{ Name, Unit string }
+	var m struct {
+		EndToEnd []entry `json:"end_to_end"`
+		PerLayer []entry `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return fmt.Errorf("%s: %w", b.manifest, err)
+	}
+	want := m.EndToEnd
+	if b.trace {
+		want = m.PerLayer
+	}
+	var problems []string
+	for _, e := range want {
+		got, ok := b.res.Metrics[e.Name]
+		switch {
+		case !ok:
+			problems = append(problems, e.Name+" missing")
+		case got.Unit != e.Unit:
+			problems = append(problems, fmt.Sprintf("%s in %s, listed in %s", e.Name, got.Unit, e.Unit))
+		}
+	}
+	if len(b.res.Metrics) != len(want) {
+		problems = append(problems, fmt.Sprintf("%d metrics set, %d listed", len(b.res.Metrics), len(want)))
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("metrics do not match %s: %s", b.manifest, strings.Join(problems, "; "))
 	}
 	return nil
 }
@@ -188,6 +235,41 @@ func peakRSSMB(pid string) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("no VmHWM in /proc/%s/status", pid)
+}
+
+// procCPU is the CPU time (user + system) process pid has used so far,
+// in seconds, from /proc/<pid>/stat (clock ticks of 1/100 s).
+func procCPU(pid int) (float64, error) {
+	raw, err := os.ReadFile(filepath.Join("/proc", strconv.Itoa(pid), "stat"))
+	if err != nil {
+		return 0, err
+	}
+	// The command name may hold spaces; the fields after it start with
+	// the state, so utime and stime (fields 14 and 15) are at 11 and 12.
+	i := strings.LastIndexByte(string(raw), ')')
+	if i < 0 {
+		return 0, fmt.Errorf("no command name in /proc/%d/stat", pid)
+	}
+	f := strings.Fields(string(raw[i+1:]))
+	if len(f) < 13 {
+		return 0, fmt.Errorf("short /proc/%d/stat", pid)
+	}
+	u, err1 := strconv.ParseFloat(f[11], 64)
+	s, err2 := strconv.ParseFloat(f[12], 64)
+	if err1 != nil || err2 != nil {
+		return 0, fmt.Errorf("parse /proc/%d/stat: %v %v", pid, err1, err2)
+	}
+	return (u + s) / 100, nil
+}
+
+// selfCPU is the CPU time (user + system) this process has used so far,
+// in seconds, to the microsecond.
+func selfCPU() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }
 
 // cpuTimes reads the host's cumulative CPU ticks from /proc/stat: the
@@ -248,4 +330,13 @@ func table(title, unit string, total float64, rows [][2]any) {
 		v := r[1].(float64)
 		fmt.Printf("  %-44s %12.4g %s  %6.1f%%\n", r[0], v, unit, 100*v/total)
 	}
+}
+
+// scale returns xs, each multiplied by f.
+func scale(xs []float64, f float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = x * f
+	}
+	return out
 }

@@ -137,17 +137,16 @@ type algo struct {
 	run  func(s *paperState)
 }
 
-// family is one end-to-end paper metric: its calls run back to back and
-// the pass time is the metric's sample.
+// family is one group of paper calls, run back to back and timed as one
+// family pass; a paper-batch pass is one family pass of each family.
 type family struct {
-	name   string
-	metric string
-	algos  []algo
-	check  func(b *bench, s *paperState)
+	name  string
+	algos []algo
+	check func(b *bench, s *paperState)
 }
 
 var families = []family{
-	{"hull", "hull_s", []algo{
+	{"hull", []algo{
 		{"hull2d.randinc", func(s *paperState) {
 			s.st2 = core.Stats{}
 			s.hull2RI = hull2d.RandIncStats(s.in.circle, s.seed, &s.st2)
@@ -157,7 +156,7 @@ var families = []family{
 		{"hull3d.randinc", func(s *paperState) { s.st3 = core.Stats{}; s.hull3RI = hull3d.RandIncStats(s.in.ball3, s.seed, &s.st3) }},
 		{"hull3d.dc", func(s *paperState) { s.hull3DC = hull3d.DivideConquer(s.in.ball3) }},
 	}, checkHulls},
-	{"seb", "seb_s", []algo{
+	{"seb", []algo{
 		{"seb.sampling", func(s *paperState) {
 			s.scanFrac = 0
 			for i, pts := range s.in.seb5 {
@@ -172,11 +171,11 @@ var families = []family{
 			}
 		}},
 	}, checkSEB},
-	{"kdtree", "kdtree_s", []algo{
+	{"kdtree", []algo{
 		{"kdtree.build", func(s *paperState) { s.kd = kdtree.Build(s.in.kd5, kdtree.Options{}) }},
 		{"kdtree.allknn", func(s *paperState) { s.knnIDs = s.kd.AllKNN(paperK, s.knnDists) }},
 	}, checkKDTree},
-	{"bdl_update", "bdl_update_s", []algo{
+	{"bdl_update", []algo{
 		{"bdltree.insert", func(s *paperState) {
 			s.bdl = bdltree.New(5, bdltree.Options{})
 			s.bdlIDs = s.bdlIDs[:0]
@@ -192,10 +191,10 @@ var families = []family{
 			}
 		}},
 	}, checkBDLSize},
-	{"bdl_knn", "bdl_knn_s", []algo{
+	{"bdl_knn", []algo{
 		{"bdltree.knn", func(s *paperState) { s.bdlKNN = s.bdl.KNN(s.in.bdlQ, paperK, nil) }},
 	}, checkBDLKNN},
-	{"emst", "emst_s", []algo{
+	{"emst", []algo{
 		{"emst", func(s *paperState) { s.mst = emst.Compute(s.in.emst2) }},
 	}, checkEMST},
 }
@@ -204,12 +203,14 @@ func newPaperState(in *paperInputs, seed uint64) *paperState {
 	return &paperState{in: in, seed: seed, knnDists: make([]float64, kd5N*paperK), checked: map[string]bool{}}
 }
 
-// runFamily runs one pass of f and returns its wall time and the host's
-// CPU share stolen meanwhile. With spans non-nil, the pass and each call
-// are recorded as spans (suffix names the thread count).
-func runFamily(f family, s *paperState, spans *spanLog, suffix string) (time.Duration, float64) {
+// runFamily runs one pass of f and returns its wall time, the CPU time
+// this process used meanwhile and the host's CPU share stolen meanwhile.
+// With spans non-nil, the pass and each call are recorded as spans
+// (suffix names the thread count).
+func runFamily(f family, s *paperState, spans *spanLog, suffix string) (wall time.Duration, cpu, stolen float64) {
 	runtime.GC()
 	steal := startSteal()
+	cpu0 := selfCPU()
 	type rec struct {
 		name       string
 		start, end time.Time
@@ -222,36 +223,43 @@ func runFamily(f family, s *paperState, spans *spanLog, suffix string) (time.Dur
 		recs[i] = rec{a.name, t, time.Now()}
 	}
 	end := time.Now()
-	stolen := steal.share()
+	cpu, stolen = selfCPU()-cpu0, steal.share()
 	if spans != nil {
 		parent := spans.add("family."+f.name+suffix, 0, 0, start, end)
 		for _, r := range recs[:len(f.algos)] {
 			spans.add(r.name+suffix, parent, 0, r.start, r.end)
 		}
 	}
-	return end.Sub(start), stolen
+	return end.Sub(start), cpu, stolen
 }
+
+// familyTimes are the wall and CPU times, in seconds, of one family's
+// passes.
+type familyTimes struct{ wall, cpu []float64 }
 
 // paperRounds runs whole rounds over every family until the deadline
 // (at least minRounds), checking every pass outside the timed regions,
 // and returns each family's pass times from the passes the hypervisor
 // disturbed least (see calmest).
-func (b *bench) paperRounds(s *paperState, deadline time.Time, minRounds int, spans *spanLog, suffix string) map[string][]float64 {
-	times, steal := map[string][]float64{}, map[string][]float64{}
+func (b *bench) paperRounds(s *paperState, deadline time.Time, minRounds int, spans *spanLog, suffix string) map[string]familyTimes {
+	times, steal := map[string]familyTimes{}, map[string][]float64{}
 	for r := 0; r < minRounds || time.Now().Before(deadline); r++ {
 		for _, f := range families {
-			d, stolen := runFamily(f, s, spans, suffix)
-			times[f.name] = append(times[f.name], d.Seconds())
+			d, cpu, stolen := runFamily(f, s, spans, suffix)
+			t := times[f.name]
+			times[f.name] = familyTimes{append(t.wall, d.Seconds()), append(t.cpu, cpu)}
 			steal[f.name] = append(steal[f.name], stolen)
 			b.res.Attempted += int64(len(f.algos))
 			f.check(b, s)
 		}
 	}
-	kept := map[string][]float64{}
-	for name, ts := range times {
+	kept := map[string]familyTimes{}
+	for name, t := range times {
+		var k familyTimes
 		for _, i := range calmest(steal[name]) {
-			kept[name] = append(kept[name], ts[i])
+			k.wall, k.cpu = append(k.wall, t.wall[i]), append(k.cpu, t.cpu[i])
 		}
+		kept[name] = k
 	}
 	return kept
 }
@@ -275,10 +283,17 @@ func (b *bench) paperBatch() error {
 	s := newPaperState(b.paperSetup(), b.seed)
 	b.paperRounds(s, time.Time{}, 1, nil, "") // warm-up: caches, pools, lazy set-up
 	times := b.paperRounds(s, time.Now().Add(time.Duration(b.seconds*float64(time.Second))), 3, nil, "")
+	// A pass is one family pass of each family: its time is the sum of
+	// the families' medians, so a burst of steal during one family pass
+	// does not leak into another family's figure.
+	var pass, cpu float64
 	for _, f := range families {
-		b.set(f.metric, "s", median(times[f.name]))
+		w, c := median(times[f.name].wall), median(times[f.name].cpu)
+		fmt.Fprintf(os.Stderr, "perfbench: %-10s wall %.4f s, cpu %.4f s (median of %d calm passes)\n", f.name, w, c, len(times[f.name].wall))
+		pass, cpu = pass+w, cpu+c
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: %d rounds\n", len(times["hull"]))
+	b.set("pass_s", "s", pass)
+	b.set("pass_cpu_s", "s", cpu)
 	rss, err := peakRSSMB("self")
 	if err != nil {
 		return err
@@ -447,10 +462,11 @@ func (b *bench) paperPeel(in *paperInputs, rounds int) {
 	b.set("hull2d.reservation_success_ratio", "ratio", float64(s.st2.Successes)/float64(s.st2.Reservations))
 	b.set("hull3d.reservation_success_ratio", "ratio", float64(s.st3.Successes)/float64(s.st3.Reservations))
 	b.set("seb.sample_scan_frac", "ratio", s.scanFrac)
+	b.set("emst.s", "s", b.spans.p50("emst"+suffix))
 	for _, f := range families {
 		one, all := b.spans.p50("family."+f.name+"@1"), b.spans.p50("family."+f.name+suffix)
 		b.set("parlay.speedup."+f.name, "x", one/all)
-		e2e := median(plain[f.name])
+		e2e := median(plain[f.name].wall)
 		var rows [][2]any
 		sum := 0.0
 		for _, a := range f.algos {
@@ -459,7 +475,7 @@ func (b *bench) paperPeel(in *paperInputs, rounds int) {
 			sum += v
 		}
 		rows = append(rows, [2]any{"residual", e2e - sum})
-		table(fmt.Sprintf("%s: layer self times at GOMAXPROCS=%d", f.metric, nproc), "s", e2e, rows)
+		table(fmt.Sprintf("family %s: layer self times at GOMAXPROCS=%d", f.name, nproc), "s", e2e, rows)
 		fmt.Printf("  tracing overhead: %+.4g s (traced %.4g − untraced %.4g); speedup T1/T%d = %.3g\n",
 			all-e2e, all, e2e, nproc, one/all)
 	}

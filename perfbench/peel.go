@@ -23,16 +23,43 @@ const peelOps = 2500
 // measured.
 func (b *bench) tracePaperBatch() error {
 	b.paperPeel(makePaperInputs(b.seed), 3)
-	return b.servePeel(serveConfigs["serve-read"], time.Duration(b.seconds*float64(time.Second))/4)
+	if err := b.servePeel(serveConfigs["serve-read"], time.Duration(b.seconds*float64(time.Second))/4); err != nil {
+		return err
+	}
+	return b.recoveryPeel()
 }
 
 // traceServe is a serving workload's traced run: its serve peel, then one
-// untraced-plus-traced pass of the paper families for the paper layers.
+// untraced-plus-traced pass of the paper families for the paper layers,
+// then the recovery cycles of serve-write.
 func (b *bench) traceServe(cfg serveConfig) error {
 	if err := b.servePeel(cfg, time.Duration(b.seconds*float64(time.Second))/2); err != nil {
 		return err
 	}
 	b.paperPeel(makePaperInputs(b.seed), 1)
+	return b.recoveryPeel()
+}
+
+// recoveryPeel founds a serve-write server and runs its SIGKILL/restart
+// cycles, with their durability checks, and sets server.recovery_s to the
+// median time from restart to the first answered request.
+func (b *bench) recoveryPeel() error {
+	cfg := serveConfigs["serve-write"]
+	ss, err := b.setupOnce(cfg)
+	if err != nil {
+		return err
+	}
+	rec, err := b.recoverCycles(ss, cfg)
+	if ss.cl != nil {
+		ss.cl.Close()
+	}
+	if ss.srv != nil {
+		ss.srv.kill()
+	}
+	if err != nil {
+		return err
+	}
+	b.set("server.recovery_s", "s", median(rec))
 	return nil
 }
 
@@ -118,7 +145,7 @@ func (b *bench) servePeel(cfg serveConfig, dur time.Duration) error {
 			return err
 		}
 	}
-	tl := b.loop(remote{ss.cl}, ss.m, cfg, b.gens(ss.m, cfg), 0, peelOps, &b.spans, "remote")
+	tl := b.loop(remote{cl: ss.cl}, ss.m, cfg, b.gens(ss.m, cfg), 0, peelOps, &b.spans, "remote")
 	b.res.Attempted += tl.attempted
 	b.res.Failed += tl.failed
 	if err := b.checkQuiescent(ss.cl, ss.m, "after the traced replay"); err != nil {
@@ -160,6 +187,8 @@ func (b *bench) servePeel(cfg serveConfig, dur time.Duration) error {
 	engKNN, engUpd := us(same+".knn"), us(same+".update")
 	memUpd, durUpd := us("engine_mem.update"), us("engine_durable.update")
 	snapKNN := us("snapshot.knninto")
+	b.set("client.knn_p50_us", "us", remoteKNN)
+	b.set("client.update_p50_us", "us", remoteUpd)
 	b.set("server.knn_self_us", "us", remoteKNN-engKNN)
 	b.set("server.update_self_us", "us", remoteUpd-engUpd)
 	b.set("engine.knn_p50_us", "us", engKNN)
@@ -194,7 +223,7 @@ func (b *bench) servePeel(cfg serveConfig, dur time.Duration) error {
 		name      string
 		e2e, trac float64
 		rows      [][2]any
-	}{{"knn_p50_ms", 1e6 * e2eKNN, remoteKNN, knnRows}, {"update_p50_ms", 1e6 * e2eUpd, remoteUpd, updRows}} {
+	}{{"k-NN p50", 1e6 * e2eKNN, remoteKNN, knnRows}, {"update p50", 1e6 * e2eUpd, remoteUpd, updRows}} {
 		sum := 0.0
 		for _, r := range t.rows {
 			sum += r[1].(float64)

@@ -17,4 +17,5 @@ export GOCACHE="$build/gocache" GOTMPDIR="$build/tmp" GOMODCACHE="$build/gomod"
 export GOWORK=off GOTOOLCHAIN=local GOPROXY=off GOFLAGS=
 go build -o "$build/bin/pargeo-serve" ./cmd/pargeo-serve >&2
 (cd perfbench && go build -o "$build/bin/perfbench" .) >&2
-exec "$build/bin/perfbench" -server "$build/bin/pargeo-serve" -work "$build/work" -spans "$build/spans" "$@"
+exec "$build/bin/perfbench" -server "$build/bin/pargeo-serve" -work "$build/work" -spans "$build/spans" \
+	-manifest BENCHMARK.json "$@"

@@ -36,9 +36,10 @@ const (
 	serveN     = 100000 // founding points, uniform in the unit square
 	serveK     = 8      // k of every remote k-NN
 	callers    = 2      // closed-loop callers on one connection (≤ nproc)
-	windows    = 15     // equal windows of a run, for ops_s and the p99s
+	windows    = 30     // equal windows of a run, for pass_s, pass_cpu_s and the p99s
+	passCalls  = 1000   // client calls in one pass of a serving workload
 	foundChunk = 5000   // founding points per insert call
-	setups     = 5      // set-ups per measured run; setup_s is their median
+	setups     = 9      // set-ups per measured run; setup_s is their median
 	probes     = 256    // quiescent k-NN probes checked against the model
 	recoveries = 5      // SIGKILL/restart cycles per serve-write run
 	tailMoves  = 200    // acked moves between a checkpoint and each SIGKILL
@@ -159,7 +160,12 @@ type target interface {
 	move(from, to []float64) (engine.UpdateResult, error)
 }
 
-type remote struct{ cl *client.Client }
+// remote is the server process through the client. With pid set, a
+// timed loop also reads the server's CPU time at every window boundary.
+type remote struct {
+	cl  *client.Client
+	pid int
+}
 
 func (r remote) knn(q []float64) ([]int32, error) { return r.cl.KNN(q, serveK) }
 func (r remote) move(from, to []float64) (engine.UpdateResult, error) {
@@ -181,6 +187,8 @@ type loadStats struct {
 	winKNN, winUpd    [windows][]time.Duration
 	winOps            [windows]int
 	winSteal          [windows]float64 // host CPU share stolen in each window
+	winCPU            [windows]float64 // server CPU seconds in each window (remote with pid)
+	cpuErr            error            // reading the server's CPU time failed
 	attempted, failed int64
 	winDur            time.Duration
 }
@@ -208,13 +216,26 @@ func (b *bench) loop(t target, m *model, cfg serveConfig, gens []*opGen, dur tim
 	var wg sync.WaitGroup
 	start := time.Now()
 	if ops == 0 {
+		cpu := func() float64 { return 0 }
+		if r, ok := t.(remote); ok && r.pid != 0 {
+			cpu = func() float64 {
+				v, err := procCPU(r.pid)
+				if err != nil && total.cpuErr == nil {
+					total.cpuErr = fmt.Errorf("server CPU time: %w", err)
+				}
+				return v
+			}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c0 := cpu()
 			for w := range windows {
 				m := startSteal()
 				time.Sleep(time.Until(start.Add(time.Duration(w+1) * total.winDur)))
 				total.winSteal[w] = m.share()
+				c1 := cpu()
+				total.winCPU[w], c0 = c1-c0, c1
 			}
 		}()
 	}
@@ -559,30 +580,28 @@ func (b *bench) serve(cfg serveConfig) error {
 		ls.attempted, len(ls.knnLat), len(ls.updLat), delta(before, after, "shed", "shed_reads", "shed_writes", "shed_control"),
 		delta(before, after, "rebalances"), delta(before, after, "queries")/delta(before, after, "query_groups"),
 		delta(before, after, "updates")/delta(before, after, "commits"))
-	var ops, kp99, up99, knn, upd []float64
+	var ops, cpu, kp99, up99, knn, upd []float64
 	keep := calmest(ls.winSteal[:])
 	for _, w := range keep {
 		ops = append(ops, float64(ls.winOps[w])/ls.winDur.Seconds())
+		cpu = append(cpu, ls.winCPU[w]/float64(ls.winOps[w]))
 		kp99 = append(kp99, 1e3*quantile(durs(ls.winKNN[w]), 0.99))
 		up99 = append(up99, 1e3*quantile(durs(ls.winUpd[w]), 0.99))
 		knn = append(knn, durs(ls.winKNN[w])...)
 		upd = append(upd, durs(ls.winUpd[w])...)
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: steal per window %.3f, kept %v\n  ops/s %.0f\n  k-NN p99 ms %.2f\n  update p99 ms %.2f\n",
-		ls.winSteal, keep, ops, kp99, up99)
+	fmt.Fprintf(os.Stderr, "perfbench: steal per window %.3f, kept %v\n  ops/s %.0f\n  server CPU us/op %.1f\n  k-NN p99 ms %.2f\n  update p99 ms %.2f\n",
+		ls.winSteal, keep, ops, scale(cpu, 1e6), kp99, up99)
 	fmt.Fprintf(os.Stderr, "perfbench: calm windows: %.1f ops/s, k-NN p50 %.3f ms p99 %.3f ms, update p50 %.3f ms p99 %.3f ms\n",
 		median(ops), 1e3*median(knn), median(kp99), 1e3*median(upd), median(up99))
-	if !cfg.durable {
-		// serve-write's throughput and latencies follow the host's fsync
-		// latency and steal: between sets of ten runs their medians moved
-		// up to 29%, past any allowed bound, so they are printed above but
-		// not reported. The update p99 of serve-read rests on about ten
-		// samples past it per window and moved 24%; it is printed only.
-		b.set("ops_s", "1/s", median(ops))
-		b.set("knn_p50_ms", "ms", 1e3*median(knn))
-		b.set("knn_p99_ms", "ms", median(kp99))
-		b.set("update_p50_ms", "ms", 1e3*median(upd))
-	}
+	// A pass is passCalls calls in the workload's mix, timed as the sum
+	// of its calls' median latencies, as paper-batch sums its families'
+	// medians. The closed loop's rate, passCalls/ops_s, follows the
+	// latency tail that steal stretches; it is printed only.
+	pass := passCalls * (cfg.knnShare*median(knn) + (1-cfg.knnShare)*median(upd))
+	fmt.Fprintf(os.Stderr, "perfbench: pass %.4f s at median latencies, %.4f s at the calm windows' rate\n", pass, passCalls/median(ops))
+	b.set("pass_s", "s", pass)
+	b.set("pass_cpu_s", "s", passCalls*median(cpu))
 	if err := b.checkQuiescent(ss.cl, ss.m, "after the run"); err != nil {
 		return err
 	}
@@ -596,7 +615,7 @@ func (b *bench) serve(cfg serveConfig) error {
 		if err != nil {
 			return err
 		}
-		b.set("recovery_s", "s", median(rec))
+		fmt.Fprintf(os.Stderr, "perfbench: recovery (SIGKILL, restart, first answer) %.4f s median of %.4f s\n", median(rec), rec)
 	}
 	err = ss.close()
 	ss.srv = nil
@@ -610,12 +629,15 @@ func (b *bench) measure(ss *fixture, cfg serveConfig, dur time.Duration) (*loadS
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ls := b.loop(remote{ss.cl}, ss.m, cfg, b.gens(ss.m, cfg), dur, 0, nil, "remote")
+	ls := b.loop(remote{ss.cl, ss.srv.cmd.Process.Pid}, ss.m, cfg, b.gens(ss.m, cfg), dur, 0, nil, "remote")
 	b.res.Attempted += ls.attempted
 	b.res.Failed += ls.failed
 	after, err := b.stats(ss.cl)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if ls.cpuErr != nil {
+		return nil, nil, nil, ls.cpuErr
 	}
 	if len(ls.knnLat) == 0 || len(ls.updLat) == 0 {
 		return nil, nil, nil, fmt.Errorf("run too short: %d k-NN and %d moves answered", len(ls.knnLat), len(ls.updLat))
@@ -640,7 +662,7 @@ func (b *bench) recoverCycles(ss *fixture, cfg serveConfig) ([]float64, error) {
 		if _, err := ss.cl.Checkpoint(); err != nil {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
-		tail := b.loop(remote{ss.cl}, ss.m, moves, []*opGen{newOpGen(b.seed, moves, 200+uint64(i), ss.m, own)}, 0, tailMoves, nil, "remote")
+		tail := b.loop(remote{cl: ss.cl}, ss.m, moves, []*opGen{newOpGen(b.seed, moves, 200+uint64(i), ss.m, own)}, 0, tailMoves, nil, "remote")
 		b.res.Attempted += tail.attempted
 		b.res.Failed += tail.failed
 		ss.cl.Close()
